@@ -31,7 +31,7 @@ pub mod writer;
 pub use error::ArchiveError;
 pub use format::{ArchiveRecord, Codec};
 pub use reader::{ArchiveReader, OpenReport, RecordStream, SegmentVerify, VerifyReport};
-pub use segment::{SegmentCursor, SegmentScan};
+pub use segment::{ScanBounds, SegmentCursor, SegmentScan};
 pub use sidecar::{
     archive_fingerprint, archive_format_version, HashIndex, IndexEntry, SidecarCheck, SidecarFault,
     SidecarLoad, SIDECAR_FILE,

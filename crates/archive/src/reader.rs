@@ -17,7 +17,7 @@ use fork_telemetry::{json::Value, MetricsRegistry};
 
 use crate::error::ArchiveError;
 use crate::format::{segment_file_name, side_dir_name, ArchiveRecord, SUPERBLOCK_LEN};
-use crate::segment::{scan_segment, SegmentCursor, SegmentScan};
+use crate::segment::{scan_segment, ScanBounds, SegmentCursor, SegmentScan};
 use crate::sidecar::SidecarCheck;
 use crate::writer::{list_segments, ArchiveMeta};
 
@@ -233,7 +233,7 @@ impl ArchiveReader {
 
     /// Full scan of one side, in write (= seq) order.
     pub fn records(&self, side: Side) -> RecordStream<'_> {
-        RecordStream::new(self.side_index(side), None, None)
+        RecordStream::new(self.side_index(side), None)
     }
 
     /// Block records of `side` with numbers in `[first, last]` (inclusive),
@@ -246,8 +246,7 @@ impl ArchiveReader {
     ) -> impl Iterator<Item = Result<BlockRecord, ArchiveError>> + '_ {
         let stream = RecordStream::new(
             self.side_index(side),
-            Some(SeekKey::Number(first)),
-            Some(StopKey::Number(last)),
+            Some(ScanBounds::Numbers(first, last)),
         );
         stream.filter_map(move |item| match item {
             Ok((_, ArchiveRecord::Block(b))) => (first..=last).contains(&b.number).then_some(Ok(b)),
@@ -266,11 +265,7 @@ impl ArchiveReader {
         start: u64,
         end: u64,
     ) -> impl Iterator<Item = Result<(u64, ArchiveRecord), ArchiveError>> + '_ {
-        let stream = RecordStream::new(
-            self.side_index(side),
-            Some(SeekKey::Time(start)),
-            Some(StopKey::Time(end)),
-        );
+        let stream = RecordStream::new(self.side_index(side), Some(ScanBounds::Times(start, end)));
         stream.filter_map(move |item| match item {
             Ok((seq, rec)) => (start..=end)
                 .contains(&rec.timestamp())
@@ -282,8 +277,8 @@ impl ArchiveReader {
     /// Streams the whole archive into `sink` in the original global
     /// ingestion order, merging the two per-side streams by sequence number.
     pub fn replay_into_sink(&self, sink: &mut impl LedgerSink) -> Result<u64, ArchiveError> {
-        let mut eth = RecordStream::new(&self.sides[0], None, None).peekable_seq()?;
-        let mut etc = RecordStream::new(&self.sides[1], None, None).peekable_seq()?;
+        let mut eth = RecordStream::new(&self.sides[0], None).peekable_seq()?;
+        let mut etc = RecordStream::new(&self.sides[1], None).peekable_seq()?;
         let mut delivered = 0u64;
         loop {
             let take_eth = match (eth.peek_seq(), etc.peek_seq()) {
@@ -361,78 +356,42 @@ impl ArchiveReader {
     }
 }
 
-enum SeekKey {
-    Number(u64),
-    Time(u64),
-}
-
-enum StopKey {
-    Number(u64),
-    Time(u64),
-}
-
 /// Iterator over one side's records in write order, segment by segment.
 /// Yields `(seq, record)`; corrupt frames surface as `Err` and end the
 /// affected segment's contribution (the stream continues with the next
-/// segment).
+/// segment). A bounded stream may over-approximate its bounds (callers
+/// filter), but never drops an in-bounds record: each segment applies
+/// [`SegmentScan::start_for`] and [`SegmentScan::ends_scan`].
 pub struct RecordStream<'a> {
     segments: std::slice::Iter<'a, (PathBuf, SegmentScan)>,
-    seek: Option<SeekKey>,
-    stop: Option<StopKey>,
-    cursor: Option<SegmentCursor>,
-    /// Set once a stop key fires; the stream is exhausted.
-    done: bool,
+    bounds: Option<ScanBounds>,
+    /// The open segment's scan and cursor.
+    cursor: Option<(&'a SegmentScan, SegmentCursor)>,
 }
 
 impl<'a> RecordStream<'a> {
-    fn new(index: &'a SideIndex, seek: Option<SeekKey>, stop: Option<StopKey>) -> Self {
+    fn new(index: &'a SideIndex, bounds: Option<ScanBounds>) -> Self {
         RecordStream {
             segments: index.segments.iter(),
-            seek,
-            stop,
+            bounds,
             cursor: None,
-            done: false,
         }
     }
 
-    /// Opens the next segment's cursor, applying the seek key (and skipping
-    /// segments that end before it).
+    /// Opens the next segment holding anything in bounds.
     fn advance_segment(&mut self) -> Option<Result<(), ArchiveError>> {
         loop {
             let (path, scan) = self.segments.next()?;
-            let start = match &self.seek {
-                None => SUPERBLOCK_LEN as u64,
-                Some(SeekKey::Number(n)) => {
-                    if scan.block_range.is_some_and(|(_, hi)| hi < *n) {
-                        continue; // whole segment precedes the range
-                    }
-                    scan.seek_for_number(*n)
-                }
-                Some(SeekKey::Time(t)) => {
-                    if scan.time_range.is_some_and(|(_, hi)| hi < *t) {
-                        continue;
-                    }
-                    scan.seek_for_time(*t)
-                }
+            let Some(start) = scan.start_for(self.bounds) else {
+                continue;
             };
             match SegmentCursor::open(path, scan.superblock, start, scan.valid_len) {
                 Ok(cursor) => {
-                    self.cursor = Some(cursor);
+                    self.cursor = Some((scan, cursor));
                     return Some(Ok(()));
                 }
                 Err(e) => return Some(Err(e)),
             }
-        }
-    }
-
-    fn past_stop(&self, record: &ArchiveRecord) -> bool {
-        match (&self.stop, record) {
-            // Block numbers and timestamps ascend per side, so the first
-            // block past the bound ends the scan. Tx frames tag along with
-            // their block and are filtered by the caller.
-            (Some(StopKey::Number(n)), ArchiveRecord::Block(b)) => b.number > *n,
-            (Some(StopKey::Time(t)), rec) => rec.timestamp() > *t,
-            _ => false,
         }
     }
 
@@ -448,9 +407,6 @@ impl<'a> RecordStream<'a> {
     /// ending the affected segment.
     fn pull(&mut self) -> Result<Option<(u64, ArchiveRecord)>, ArchiveError> {
         loop {
-            if self.done {
-                return Ok(None);
-            }
             if self.cursor.is_none() {
                 match self.advance_segment() {
                     None => return Ok(None),
@@ -458,15 +414,15 @@ impl<'a> RecordStream<'a> {
                     Some(Err(e)) => return Err(e),
                 }
             }
-            let cursor = self.cursor.as_mut().expect("cursor opened above");
+            let (scan, cursor) = self.cursor.as_mut().expect("cursor opened above");
             match cursor.next_frame() {
                 None => {
                     self.cursor = None; // segment exhausted, try the next
                 }
                 Some(Ok((_, seq, record))) => {
-                    if self.past_stop(&record) {
-                        self.done = true;
-                        return Ok(None);
+                    if scan.ends_scan(self.bounds, &record) {
+                        self.cursor = None;
+                        continue;
                     }
                     return Ok(Some((seq, record)));
                 }

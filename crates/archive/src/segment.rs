@@ -7,6 +7,9 @@
 //! the last structurally complete frame. It does **not** verify payload
 //! checksums; that is the job of reads and of `ArchiveReader::verify`.
 //!
+//! [`SegmentScan::start_for`] and [`SegmentScan::ends_scan`] are the one
+//! seek/skip/stop rule every bounded scan applies per segment.
+//!
 //! [`SegmentCursor`] is the read path: sequential frames with checksum
 //! verification, startable at any frame offset the index produced.
 
@@ -40,33 +43,87 @@ pub struct SegmentScan {
     pub txs: u64,
     /// Smallest and largest global sequence numbers (`None` when empty).
     pub seq_range: Option<(u64, u64)>,
-    /// First and last block numbers (`None` when no block frames).
+    /// Smallest and largest block numbers (`None` when no block frames).
     pub block_range: Option<(u64, u64)>,
-    /// First and last block timestamps (`None` when no block frames).
+    /// Smallest and largest record timestamps, blocks and txs alike
+    /// (`None` when empty).
     pub time_range: Option<(u64, u64)>,
+    /// Whether the frames are in order: block numbers strictly ascend and
+    /// record timestamps (blocks and txs) never decrease. Only then are the
+    /// sparse-index seek and the stop at the first record past a bound
+    /// exact; a segment holding a reorg is read whole (see
+    /// [`SegmentScan::start_for`]).
+    pub ascending: bool,
     /// Sparse index: every [`INDEX_STRIDE`]-th block frame as
-    /// `(block_number, frame_offset)`, ascending.
+    /// `(block_number, frame_offset)`, in frame order (sorted only when the
+    /// segment is [`ascending`](SegmentScan::ascending)).
     pub block_index: Vec<(u64, u64)>,
     /// Sparse index: the same frames as `(block_timestamp, frame_offset)`.
     pub time_index: Vec<(u64, u64)>,
 }
 
+/// The bounds of a range scan, inclusive at both ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanBounds {
+    /// Block numbers in `[first, last]`. Tx frames carry no number; a
+    /// number-bounded scan may yield some, and callers filter them out.
+    Numbers(u64, u64),
+    /// Record timestamps in `[start, end]` (txs carry their block's).
+    Times(u64, u64),
+}
+
 impl SegmentScan {
-    /// Largest indexed frame offset whose block number is `<= number`
-    /// (falls back to the first frame).
-    pub fn seek_for_number(&self, number: u64) -> u64 {
-        floor_offset(&self.block_index, number)
+    /// Where a scan bounded by `bounds` starts reading this segment, or
+    /// `None` when the segment holds nothing in bounds. An ascending segment
+    /// is entered at the last indexed block *before* the lower bound, so
+    /// every frame skipped is out of bounds; any other segment is read from
+    /// its first frame.
+    pub fn start_for(&self, bounds: Option<ScanBounds>) -> Option<u64> {
+        let first_frame = SUPERBLOCK_LEN as u64;
+        match bounds {
+            None => Some(first_frame),
+            Some(ScanBounds::Numbers(lo, hi)) => {
+                let (min, max) = self.block_range?;
+                if max < lo || min > hi {
+                    return None;
+                }
+                if !self.ascending {
+                    return Some(first_frame);
+                }
+                Some(floor_offset(&self.block_index, lo.saturating_add(1)))
+            }
+            Some(ScanBounds::Times(lo, hi)) => {
+                let (min, max) = self.time_range?;
+                if max < lo || min > hi {
+                    return None;
+                }
+                if !self.ascending {
+                    return Some(first_frame);
+                }
+                Some(floor_offset(&self.time_index, lo))
+            }
+        }
     }
 
-    /// Largest indexed frame offset whose block timestamp is `<= ts`
-    /// (falls back to the first frame).
-    pub fn seek_for_time(&self, ts: u64) -> u64 {
-        floor_offset(&self.time_index, ts)
+    /// Whether `record`, read from this segment by a scan bounded by
+    /// `bounds`, ends the segment's part of the scan: in an ascending
+    /// segment nothing after the first record past the upper bound is in
+    /// bounds. Later segments are entered afresh by
+    /// [`SegmentScan::start_for`].
+    pub fn ends_scan(&self, bounds: Option<ScanBounds>, record: &ArchiveRecord) -> bool {
+        self.ascending
+            && match (bounds, record) {
+                (Some(ScanBounds::Numbers(_, hi)), ArchiveRecord::Block(b)) => b.number > hi,
+                (Some(ScanBounds::Times(_, hi)), rec) => rec.timestamp() > hi,
+                _ => false,
+            }
     }
 }
 
+/// Offset of the last indexed frame whose key is below `key` (the first
+/// frame when there is none).
 fn floor_offset(index: &[(u64, u64)], key: u64) -> u64 {
-    let i = index.partition_point(|(k, _)| *k <= key);
+    let i = index.partition_point(|(k, _)| *k < key);
     if i == 0 {
         SUPERBLOCK_LEN as u64
     } else {
@@ -111,6 +168,7 @@ pub fn scan_segment(path: &Path, expect_side: Side) -> Result<SegmentScan, Archi
         seq_range: None,
         block_range: None,
         time_range: None,
+        ascending: true,
         block_index: Vec::new(),
         time_index: Vec::new(),
     };
@@ -119,6 +177,8 @@ pub fn scan_segment(path: &Path, expect_side: Side) -> Result<SegmentScan, Archi
     let mut pos = SUPERBLOCK_LEN as u64;
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut prefix_buf = [0u8; PREFIX_READ_LEN];
+    let mut last_number: Option<u64> = None;
+    let mut last_ts: Option<u64> = None;
     loop {
         if pos + FRAME_HEADER_LEN as u64 > file_len {
             break; // clean end, or a tail shorter than a header
@@ -148,10 +208,7 @@ pub fn scan_segment(path: &Path, expect_side: Side) -> Result<SegmentScan, Archi
         }
 
         scan.frames += 1;
-        scan.seq_range = Some(match scan.seq_range {
-            None => (prefix.seq, prefix.seq),
-            Some((lo, hi)) => (lo.min(prefix.seq), hi.max(prefix.seq)),
-        });
+        widen(&mut scan.seq_range, prefix.seq);
         match prefix.kind {
             KIND_BLOCK => {
                 if scan.blocks.is_multiple_of(INDEX_STRIDE) {
@@ -159,23 +216,32 @@ pub fn scan_segment(path: &Path, expect_side: Side) -> Result<SegmentScan, Archi
                     scan.time_index.push((prefix.timestamp, pos));
                 }
                 scan.blocks += 1;
-                scan.block_range = Some(match scan.block_range {
-                    None => (prefix.number, prefix.number),
-                    Some((lo, _)) => (lo, prefix.number),
-                });
-                scan.time_range = Some(match scan.time_range {
-                    None => (prefix.timestamp, prefix.timestamp),
-                    Some((lo, _)) => (lo, prefix.timestamp),
-                });
+                if last_number.is_some_and(|n| prefix.number <= n) {
+                    scan.ascending = false;
+                }
+                last_number = Some(prefix.number);
+                widen(&mut scan.block_range, prefix.number);
             }
             KIND_TX => scan.txs += 1,
             _ => break, // unknown kind: unreadable from here on
         }
+        widen(&mut scan.time_range, prefix.timestamp);
+        if last_ts.is_some_and(|t| prefix.timestamp < t) {
+            scan.ascending = false;
+        }
+        last_ts = Some(prefix.timestamp);
         pos += FRAME_HEADER_LEN as u64 + len as u64;
         scan.valid_len = pos;
     }
     scan.torn_bytes = file_len - scan.valid_len;
     Ok(scan)
+}
+
+fn widen(range: &mut Option<(u64, u64)>, v: u64) {
+    *range = Some(match *range {
+        None => (v, v),
+        Some((lo, hi)) => (lo.min(v), hi.max(v)),
+    });
 }
 
 fn read_exact_at_start(

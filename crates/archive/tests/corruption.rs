@@ -354,6 +354,33 @@ fn range_queries_match_full_scans() {
 }
 
 #[test]
+fn time_range_scans_keep_same_second_blocks_and_late_txs() {
+    // 200 blocks in one second: every sparse-index entry carries the same
+    // timestamp, so a seek to the last entry at or before the window start
+    // would skip the blocks ahead of it. Then a tx stamped later than any
+    // block: a segment skip judged by block times alone would drop it.
+    let dir = scratch("same-second");
+    let mut writer = ArchiveWriter::create(&dir).unwrap();
+    let t = 1_469_000_000;
+    for number in 0..200 {
+        let mut b = block(Side::Eth, number);
+        b.timestamp = t;
+        writer.block(b);
+    }
+    writer.tx(tx(Side::Eth, 0, t + 100));
+    writer.finish(None).unwrap();
+    let reader = ArchiveReader::open(&dir).unwrap();
+    assert!(reader.segments(Side::Eth)[0].1.ascending);
+    assert_eq!(reader.records_in_time_range(Side::Eth, t, t).count(), 200);
+    let late: Vec<_> = reader
+        .records_in_time_range(Side::Eth, t + 50, t + 150)
+        .map(|r| r.unwrap().1)
+        .collect();
+    assert_eq!(late, vec![ArchiveRecord::Tx(tx(Side::Eth, 0, t + 100))]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn manifest_roundtrips_meta() {
     let dir = scratch("manifest");
     let mut writer = ArchiveWriter::create(&dir).unwrap();

@@ -872,7 +872,8 @@ fn main() {
         let pool = ReaderPool::new(
             reader,
             FrameCache::new(DEFAULT_CACHE_BYTES, DEFAULT_CACHE_SHARDS).with_telemetry(&registry),
-        );
+        )
+        .with_telemetry(&registry);
         let exec = QueryExecutor::new(8).with_telemetry(&registry);
 
         let t = std::time::Instant::now();

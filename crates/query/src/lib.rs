@@ -19,6 +19,12 @@
 //!   or one of the paper's aggregates (inter-arrival histogram, daily
 //!   difficulty, ETH:ETC tx ratio, echo counts per window) computed from
 //!   the archive without re-running the simulation.
+//! - Per-day partials and memoized folds: a pool replays the cross-side
+//!   echo detector and the tip history once, and folds each (side, UTC
+//!   day) into a partial the first time a query covers that day wholly.
+//!   Per-day aggregates then merge partials and decode only edge days;
+//!   [`AccelStats`] and the `query.partials.*` / `query.memo.*` counters
+//!   show the work.
 //! - [`QueryExecutor`] runs batches across a worker pool with
 //!   deterministic, input-ordered results and a `query.latency` histogram.
 //!
@@ -33,6 +39,8 @@
 //! reuse the live pipeline's own cells (`fork_analytics::aggregate`) and
 //! the telemetry histogram's own bucketing (`fork_telemetry::bucket_index`)
 //! in the same per-side order.
+//! A merged partial is exact for the same reason: it is the fold of its
+//! whole day, in write order, that a scan would make into that day's bin.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +49,7 @@ pub mod cache;
 pub mod error;
 pub mod exec;
 pub mod lookup;
+mod partials;
 pub mod pool;
 pub mod query;
 
@@ -51,6 +60,7 @@ pub use lookup::{
     FoundRecord, HeaderChain, Lookup, LookupOutput, ReorgEvent, SealedHeader, SideTip,
     TipHistoryOutput,
 };
+pub use partials::AccelStats;
 pub use pool::{PoolStream, ReaderPool, DEFAULT_CACHE_BYTES, DEFAULT_CACHE_SHARDS};
 pub use query::{Projection, Query, QueryOutput, QueryRange};
 
@@ -411,32 +421,43 @@ mod tests {
         assert!(shuffled.verify().is_err());
     }
 
-    #[test]
-    fn tip_history_reports_reorgs() {
-        let dir = scratch("lookup-reorg");
+    /// ETH writes blocks 0..=9, then switches to a competing branch: a new
+    /// block numbered 7 displaces 7..=9 (depth 3), then the branch extends
+    /// to 12 — so ETH's numbers and timestamps go back mid-stream. ETC
+    /// writes 0..=4. Every block carries one tx.
+    fn reorg_fixture(tag: &str, segment_max_bytes: u64) -> PathBuf {
+        let dir = scratch(tag);
         let mut writer = ArchiveWriter::create_with(
             &dir,
             ArchiveConfig {
-                segment_max_bytes: 4 * 1024,
+                segment_max_bytes,
                 codec: Codec::Raw,
             },
         )
         .unwrap();
+        let mut write = |b: BlockRecord| {
+            let (side, n, ts) = (b.network, b.number, b.timestamp);
+            writer.block(b);
+            writer.tx(tx(side, n, ts));
+        };
         for number in 0..10 {
-            writer.block(block(Side::Eth, number));
+            write(block(Side::Eth, number));
         }
-        // ETH switches to a competing branch: a new block numbered 7
-        // displaces 7..=9 (depth 3), then the branch extends to 12.
         for number in 7..13 {
             let mut b = block(Side::Eth, number);
             b.hash = H256([0xA0 ^ number as u8; 32]);
-            writer.block(b);
+            write(b);
         }
         for number in 0..5 {
-            writer.block(block(Side::Etc, number));
+            write(block(Side::Etc, number));
         }
         writer.finish(None).unwrap();
+        dir
+    }
 
+    #[test]
+    fn tip_history_reports_reorgs() {
+        let dir = reorg_fixture("lookup-reorg", 4 * 1024);
         let pool = ReaderPool::open(&dir).unwrap();
         let out = pool.lookup(&Lookup::TipHistory).unwrap();
         let LookupOutput::Tips(tips) = out else {
@@ -458,5 +479,148 @@ mod tests {
         let reader = ArchiveReader::open(&dir).unwrap();
         let naive = QueryExecutor::run_lookup_naive(&reader, &Lookup::TipHistory).unwrap();
         assert_eq!(LookupOutput::Tips(tips), naive);
+    }
+
+    #[test]
+    fn reorg_archive_pooled_matches_naive() {
+        // One segment holding the reorg, then segments so small the reorg
+        // crosses segment boundaries.
+        for segment_bytes in [4 * 1024, 300] {
+            let dir = reorg_fixture(&format!("reorg-naive-{segment_bytes}"), segment_bytes);
+            let reader = ArchiveReader::open(&dir).unwrap();
+            let pool = ReaderPool::open(&dir).unwrap();
+            let exec = QueryExecutor::new(2);
+            let (t5, t8) = (block(Side::Eth, 5).timestamp, block(Side::Eth, 8).timestamp);
+            let blocks = QueryRange::Blocks { first: 5, last: 8 };
+            let time = QueryRange::Time { start: t5, end: t8 };
+            let mut queries = Vec::new();
+            for side in [Side::Eth, Side::Etc] {
+                for range in [QueryRange::All, blocks, time] {
+                    for projection in [
+                        Projection::Blocks,
+                        Projection::InterArrival,
+                        Projection::Difficulty,
+                    ] {
+                        queries.push(Query {
+                            side: Some(side),
+                            range,
+                            projection,
+                        });
+                    }
+                }
+                for range in [QueryRange::All, time] {
+                    for projection in [Projection::Txs, Projection::Echoes { window_days: 1 }] {
+                        queries.push(Query {
+                            side: Some(side),
+                            range,
+                            projection,
+                        });
+                    }
+                }
+            }
+            for range in [QueryRange::All, time] {
+                queries.push(Query {
+                    side: None,
+                    range,
+                    projection: Projection::TxRatioPerDay,
+                });
+            }
+            let mut lookups = Vec::new();
+            for side in [Side::Eth, Side::Etc] {
+                for number in 0..14 {
+                    lookups.push(Lookup::BlockByNumber { side, number });
+                }
+                lookups.push(Lookup::Headers {
+                    side,
+                    first: 5,
+                    last: 8,
+                });
+                lookups.push(Lookup::Headers {
+                    side,
+                    first: 0,
+                    last: 12,
+                });
+            }
+            for pass in ["cold", "warm"] {
+                for q in &queries {
+                    let pooled = exec.run(&pool, q).unwrap();
+                    let naive = QueryExecutor::run_naive(&reader, q).unwrap();
+                    assert_eq!(pooled, naive, "{segment_bytes} B, {pass}: {q:?}");
+                }
+                for lookup in &lookups {
+                    let indexed = exec.run_lookup(&pool, lookup).unwrap();
+                    let naive = QueryExecutor::run_lookup_naive(&reader, lookup).unwrap();
+                    assert_eq!(indexed, naive, "{segment_bytes} B, {pass}: {lookup:?}");
+                }
+            }
+            // The direct reader's bounded scans agree with a filtered full scan.
+            let all: Vec<_> = reader.records(Side::Eth).map(Result::unwrap).collect();
+            let in_blocks: Vec<_> = reader
+                .blocks_in(Side::Eth, 5, 8)
+                .map(Result::unwrap)
+                .collect();
+            let want: Vec<_> = all
+                .iter()
+                .filter_map(|(_, r)| match r {
+                    fork_archive::ArchiveRecord::Block(b) if (5..=8).contains(&b.number) => {
+                        Some(b.clone())
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(in_blocks, want, "{segment_bytes} B: blocks_in");
+            let in_time: Vec<_> = reader
+                .records_in_time_range(Side::Eth, t5, t8)
+                .map(Result::unwrap)
+                .collect();
+            let want: Vec<_> = all
+                .into_iter()
+                .filter(|(_, r)| (t5..=t8).contains(&r.timestamp()))
+                .collect();
+            assert_eq!(in_time, want, "{segment_bytes} B: records_in_time_range");
+        }
+    }
+
+    #[test]
+    fn repeated_full_range_difficulty_merges_partials_without_cache_misses() {
+        let dir = fixture("partials-counters");
+        let registry = fork_telemetry::MetricsRegistry::new();
+        let pool = ReaderPool::open(&dir).unwrap().with_telemetry(&registry);
+        let exec = QueryExecutor::new(1);
+        let q = Query {
+            side: Some(Side::Eth),
+            range: QueryRange::All,
+            projection: Projection::Difficulty,
+        };
+        let first = exec.run(&pool, &q).unwrap();
+        let cold = pool.cache().stats();
+        let built = pool.accel_stats();
+        assert!(built.days_built > 0, "the first query builds partials");
+        let second = exec.run(&pool, &q).unwrap();
+        assert_eq!(first, second);
+        let warm = pool.accel_stats();
+        assert!(warm.days_merged > built.days_merged, "{warm:?}");
+        assert_eq!(warm.days_built, built.days_built, "built once");
+        assert_eq!(pool.cache().stats().misses, cold.misses);
+
+        // Memos: the second ask of each is a hit.
+        for _ in 0..2 {
+            pool.lookup(&Lookup::TipHistory).unwrap();
+            exec.run(
+                &pool,
+                &Query {
+                    side: Some(Side::Etc),
+                    range: QueryRange::All,
+                    projection: Projection::Echoes { window_days: 7 },
+                },
+            )
+            .unwrap();
+        }
+        let s = pool.accel_stats();
+        assert_eq!((s.tips_built, s.tips_hit), (1, 1));
+        assert_eq!((s.echoes_built, s.echoes_hit), (1, 1));
+        // With telemetry compiled in, the registry mirrors the counts.
+        let merged = registry.counter("query.partials.days_merged").get();
+        assert!(merged == s.days_merged || merged == 0);
     }
 }

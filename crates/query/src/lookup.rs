@@ -28,7 +28,7 @@ use fork_replay::Side;
 
 use crate::error::QueryError;
 use crate::pool::ReaderPool;
-use crate::query::{peek_seq, QueryRange, RecordSource};
+use crate::query::{peek_seq, PooledSource, QueryRange, RecordSource};
 
 /// A typed point lookup or explorer read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,7 +248,7 @@ pub(crate) fn evaluate_lookup(
             }
             Ok(LookupOutput::Found(None))
         }
-        Lookup::TipHistory => tip_history(source),
+        Lookup::TipHistory => tip_history(source).map(LookupOutput::Tips),
         Lookup::Headers { side, first, last } => {
             let range = QueryRange::Blocks { first, last };
             let mut headers = Vec::new();
@@ -308,7 +308,7 @@ fn scan_for_hash(
 /// numbered at or below the current tip is a reorg event (the archive's
 /// per-side streams normally ascend, so events mark genuine tip
 /// displacement in hand-fed or adversarial archives).
-fn tip_history(source: &dyn RecordSource) -> Result<LookupOutput, QueryError> {
+fn tip_history(source: &dyn RecordSource) -> Result<TipHistoryOutput, QueryError> {
     let mut eth = source.stream(Side::Eth, &QueryRange::All).peekable();
     let mut etc = source.stream(Side::Etc, &QueryRange::All).peekable();
     let mut sides = [
@@ -361,15 +361,16 @@ fn tip_history(source: &dyn RecordSource) -> Result<LookupOutput, QueryError> {
         slot.tip_seq = Some(seq);
     }
     let [eth_tip, etc_tip] = sides;
-    Ok(LookupOutput::Tips(TipHistoryOutput {
+    Ok(TipHistoryOutput {
         eth: eth_tip,
         etc: etc_tip,
         reorgs,
-    }))
+    })
 }
 
-/// The sidecar fast path for hash lookups; everything else falls through
-/// to the shared scan evaluation over the pooled source.
+/// The sidecar fast path for hash lookups and the pool's memo for the tip
+/// history; everything else falls through to the shared scan evaluation
+/// over the pooled source.
 pub(crate) fn lookup_indexed(
     pool: &ReaderPool,
     lookup: &Lookup,
@@ -378,7 +379,11 @@ pub(crate) fn lookup_indexed(
     match *lookup {
         Lookup::BlockByHash { hash } => indexed_point(pool, hash, KIND_BLOCK),
         Lookup::TxByHash { hash } => indexed_point(pool, hash, KIND_TX),
-        ref other => evaluate_lookup(&crate::query::PooledSource(pool), other),
+        Lookup::TipHistory => {
+            let tips = pool.accel().tips(|| tip_history(&PooledSource(pool)))?;
+            Ok(LookupOutput::Tips(tips.clone()))
+        }
+        ref other => evaluate_lookup(&PooledSource(pool), other),
     }
 }
 

@@ -10,21 +10,23 @@
 //! ranges hit memory instead of disk.
 //!
 //! A [`PoolStream`] reproduces `fork_archive::RecordStream`'s semantics
-//! exactly — same sparse-index seek, same segment-skip, same stop rule, same
-//! error behavior on corrupt frames — so a pooled scan and a direct reader
-//! scan yield identical record sequences.
+//! exactly — same per-segment seek/skip/stop rule, same error behavior on
+//! corrupt frames — so a pooled scan and a direct reader scan yield
+//! identical record sequences.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use fork_archive::format::{Superblock, FRAME_HEADER_LEN, SUPERBLOCK_LEN};
+use fork_archive::format::{Superblock, FRAME_HEADER_LEN};
 use fork_archive::{
-    ArchiveError, ArchiveReader, ArchiveRecord, HashIndex, SegmentCursor, SegmentScan,
+    ArchiveError, ArchiveReader, ArchiveRecord, HashIndex, ScanBounds, SegmentCursor, SegmentScan,
 };
 use fork_replay::Side;
+use fork_telemetry::MetricsRegistry;
 
 use crate::cache::{CachedFrame, FrameCache, FrameKey};
 use crate::lookup::{lookup_indexed, Lookup, LookupOutput};
+use crate::partials::{Accel, AccelStats};
 use crate::QueryError;
 
 /// Default cache budget for [`ReaderPool::open`]: 64 MiB.
@@ -32,23 +34,6 @@ pub const DEFAULT_CACHE_BYTES: u64 = 64 << 20;
 
 /// Default shard count for [`ReaderPool::open`].
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
-
-/// Where a range scan starts: mirrors the reader's private seek keys.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SeekKey {
-    /// Seek to the largest indexed frame with block number `<= n`.
-    Number(u64),
-    /// Seek to the largest indexed frame with block timestamp `<= t`.
-    Time(u64),
-}
-
-/// Where a range scan ends (inclusive bound; the first record past it stops
-/// the stream).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum StopKey {
-    Number(u64),
-    Time(u64),
-}
 
 /// A shared, immutable view of one opened archive plus a frame cache. See
 /// the [module docs](self).
@@ -59,6 +44,9 @@ pub struct ReaderPool {
     /// Hash-index sidecar, loaded (or scan-built and persisted) on first
     /// point lookup. Immutable once built, like the sparse index.
     hash_index: OnceLock<HashIndex>,
+    /// Memoized whole-archive folds and lazy per-day partials, built on
+    /// first use and kept for the pool's lifetime, like the hash index.
+    accel: Accel,
 }
 
 impl ReaderPool {
@@ -74,10 +62,20 @@ impl ReaderPool {
     /// Wraps an already-opened reader with a caller-configured cache.
     pub fn new(reader: ArchiveReader, cache: FrameCache) -> ReaderPool {
         ReaderPool {
+            accel: Accel::new(&reader),
             reader,
             cache,
             hash_index: OnceLock::new(),
         }
+    }
+
+    /// Mirrors the accelerators' work counts into `registry`'s
+    /// `query.partials.{days_merged,days_decoded,days_built}` and
+    /// `query.memo.{echoes,tips}.{built,hit}` counters (the
+    /// [`AccelStats`] numbers are always live, telemetry or not).
+    pub fn with_telemetry(mut self, registry: &MetricsRegistry) -> Self {
+        self.accel.bind(registry);
+        self
     }
 
     /// The underlying reader (index, manifest, verify, replay).
@@ -88,6 +86,15 @@ impl ReaderPool {
     /// The shared frame cache (for stats and telemetry).
     pub fn cache(&self) -> &FrameCache {
         &self.cache
+    }
+
+    /// What the partials and memos have done so far.
+    pub fn accel_stats(&self) -> AccelStats {
+        self.accel.stats()
+    }
+
+    pub(crate) fn accel(&self) -> &Accel {
+        &self.accel
     }
 
     /// The hash index, loading the persisted sidecar on first use (a
@@ -148,29 +155,22 @@ impl ReaderPool {
         }
     }
 
-    /// A fresh stream over `side`, optionally seeked and bounded. Each call
-    /// returns an independent cursor; any number may run concurrently.
-    pub(crate) fn stream(
-        &self,
-        side: Side,
-        seek: Option<SeekKey>,
-        stop: Option<StopKey>,
-    ) -> PoolStream<'_> {
+    /// A fresh stream over `side`, optionally bounded. Each call returns an
+    /// independent cursor; any number may run concurrently.
+    pub(crate) fn stream(&self, side: Side, bounds: Option<ScanBounds>) -> PoolStream<'_> {
         PoolStream {
             cache: &self.cache,
             side,
             segments: self.reader.segments(side).iter(),
-            seek,
-            stop,
+            bounds,
             cursor: None,
-            done: false,
         }
     }
 
     /// Full scan of one side in write (= seq) order, served through the
     /// cache.
     pub fn records(&self, side: Side) -> PoolStream<'_> {
-        self.stream(side, None, None)
+        self.stream(side, None)
     }
 }
 
@@ -266,75 +266,41 @@ impl<'a> CachedCursor<'a> {
 /// Iterator over one side's records in write order, served through the
 /// pool's cache. Yields `(seq, record)`; corrupt frames surface as `Err`
 /// and end the affected segment's contribution (the stream continues with
-/// the next segment) — exactly like `fork_archive::RecordStream`.
+/// the next segment) — exactly like `fork_archive::RecordStream`, and with
+/// the same per-segment seek/skip/stop rule
+/// ([`SegmentScan::start_for`], [`SegmentScan::ends_scan`]).
 pub struct PoolStream<'a> {
     cache: &'a FrameCache,
     side: Side,
     segments: std::slice::Iter<'a, (PathBuf, SegmentScan)>,
-    seek: Option<SeekKey>,
-    stop: Option<StopKey>,
-    cursor: Option<CachedCursor<'a>>,
-    done: bool,
+    bounds: Option<ScanBounds>,
+    /// The open segment's scan and cursor.
+    cursor: Option<(&'a SegmentScan, CachedCursor<'a>)>,
 }
 
 impl PoolStream<'_> {
-    /// Opens the next segment's cursor, applying the seek key (and skipping
-    /// segments that end before it).
-    fn advance_segment(&mut self) -> Option<Result<(), ArchiveError>> {
-        loop {
-            let (path, scan) = self.segments.next()?;
-            let start = match &self.seek {
-                None => SUPERBLOCK_LEN as u64,
-                Some(SeekKey::Number(n)) => {
-                    if scan.block_range.is_some_and(|(_, hi)| hi < *n) {
-                        continue; // whole segment precedes the range
-                    }
-                    scan.seek_for_number(*n)
-                }
-                Some(SeekKey::Time(t)) => {
-                    if scan.time_range.is_some_and(|(_, hi)| hi < *t) {
-                        continue;
-                    }
-                    scan.seek_for_time(*t)
-                }
-            };
-            self.cursor = Some(CachedCursor::open(self.cache, self.side, path, scan, start));
-            return Some(Ok(()));
-        }
-    }
-
-    fn past_stop(&self, record: &ArchiveRecord) -> bool {
-        match (&self.stop, record) {
-            // Block numbers and timestamps ascend per side, so the first
-            // block past the bound ends the scan. Tx frames tag along with
-            // their block and are filtered by the caller.
-            (Some(StopKey::Number(n)), ArchiveRecord::Block(b)) => b.number > *n,
-            (Some(StopKey::Time(t)), rec) => rec.timestamp() > *t,
-            _ => false,
-        }
-    }
-
     fn pull(&mut self) -> Result<Option<(u64, ArchiveRecord)>, ArchiveError> {
         loop {
-            if self.done {
-                return Ok(None);
-            }
             if self.cursor.is_none() {
-                match self.advance_segment() {
-                    None => return Ok(None),
-                    Some(Ok(())) => {}
-                    Some(Err(e)) => return Err(e),
-                }
+                // Open the next segment holding anything in bounds.
+                let Some((path, scan)) = self.segments.next() else {
+                    return Ok(None);
+                };
+                let Some(start) = scan.start_for(self.bounds) else {
+                    continue;
+                };
+                let cursor = CachedCursor::open(self.cache, self.side, path, scan, start);
+                self.cursor = Some((scan, cursor));
             }
-            let cursor = self.cursor.as_mut().expect("cursor opened above");
+            let (scan, cursor) = self.cursor.as_mut().expect("cursor opened above");
             match cursor.next_frame() {
                 None => {
                     self.cursor = None; // segment exhausted, try the next
                 }
                 Some(Ok((_, seq, record))) => {
-                    if self.past_stop(&record) {
-                        self.done = true;
-                        return Ok(None);
+                    if scan.ends_scan(self.bounds, &record) {
+                        self.cursor = None;
+                        continue;
                     }
                     return Ok(Some((seq, record)));
                 }

@@ -14,19 +14,26 @@
 //! (`fork_analytics::aggregate`) and the exact bucketing the telemetry
 //! histograms use (`fork_telemetry::bucket_index`), so a full-range query
 //! reproduces the live run's series and histograms bit-identically.
+//!
+//! The pooled source also brings the pool's accelerators (`partials`): a
+//! per-day aggregate folds the days its range covers wholly from per-day
+//! partials, each folded over its whole day in write order by the same
+//! `RecordFold` a scan uses, and streams the rest; echoes slice a
+//! once-per-pool replay. The naive source has neither and scans.
 
 use std::collections::BTreeMap;
 
 use fork_analytics::{
     count_series, mean_series, ratio, BlockRecord, MeanCell, TimeSeries, TxRecord,
 };
-use fork_archive::{ArchiveError, ArchiveReader, ArchiveRecord};
+use fork_archive::{ArchiveError, ArchiveReader, ArchiveRecord, ScanBounds};
 use fork_primitives::SimTime;
 use fork_replay::{EchoDetector, Side};
 use fork_telemetry::HistogramSnapshot;
 
 use crate::error::QueryError;
-use crate::pool::{PoolStream, ReaderPool, SeekKey, StopKey};
+use crate::partials::{side_index, Accel, DayPartial, EchoDays, Gaps, Piece, DAY};
+use crate::pool::ReaderPool;
 
 /// Which slice of the archive a query covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,48 +146,156 @@ impl Query {
 /// but must never drop or reorder in-range records.
 pub(crate) trait RecordSource {
     /// Records of `side` covering at least `range`, as `(seq, record)`.
-    fn stream<'a>(
-        &'a self,
-        side: Side,
-        range: &QueryRange,
-    ) -> Box<dyn Iterator<Item = Result<(u64, ArchiveRecord), ArchiveError>> + 'a>;
+    fn stream<'a>(&'a self, side: Side, range: &QueryRange) -> RecordIter<'a>;
+
+    /// The per-archive accelerators, when the source has them.
+    fn accel(&self) -> Option<&Accel> {
+        None
+    }
 }
 
-/// The production source: pooled, cached, seek-optimized streams.
+/// The production source: pooled, cached, seek-optimized streams, plus the
+/// pool's partials and memos.
 pub(crate) struct PooledSource<'a>(pub &'a ReaderPool);
 
 impl RecordSource for PooledSource<'_> {
-    fn stream<'a>(
-        &'a self,
-        side: Side,
-        range: &QueryRange,
-    ) -> Box<dyn Iterator<Item = Result<(u64, ArchiveRecord), ArchiveError>> + 'a> {
-        let (seek, stop) = match *range {
-            QueryRange::All => (None, None),
-            QueryRange::Blocks { first, last } => {
-                (Some(SeekKey::Number(first)), Some(StopKey::Number(last)))
-            }
-            QueryRange::Time { start, end } => {
-                (Some(SeekKey::Time(start)), Some(StopKey::Time(end)))
-            }
+    fn stream<'a>(&'a self, side: Side, range: &QueryRange) -> RecordIter<'a> {
+        let bounds = match *range {
+            QueryRange::All => None,
+            QueryRange::Blocks { first, last } => Some(ScanBounds::Numbers(first, last)),
+            QueryRange::Time { start, end } => Some(ScanBounds::Times(start, end)),
         };
-        let stream: PoolStream<'a> = self.0.stream(side, seek, stop);
-        Box::new(stream)
+        Box::new(self.0.stream(side, bounds))
+    }
+
+    fn accel(&self) -> Option<&Accel> {
+        Some(self.0.accel())
     }
 }
 
 /// The reference source: a plain single-threaded full scan through the
-/// reader, no seek, no cache. Deliberately the dumbest correct thing.
+/// reader, no seek, no cache, no partials. Deliberately the dumbest
+/// correct thing.
 pub(crate) struct NaiveSource<'a>(pub &'a ArchiveReader);
 
 impl RecordSource for NaiveSource<'_> {
-    fn stream<'a>(
-        &'a self,
-        side: Side,
-        _range: &QueryRange,
-    ) -> Box<dyn Iterator<Item = Result<(u64, ArchiveRecord), ArchiveError>> + 'a> {
+    fn stream<'a>(&'a self, side: Side, _range: &QueryRange) -> RecordIter<'a> {
         Box::new(self.0.records(side))
     }
+}
+
+/// A fold over one side's records in write order.
+pub(crate) trait RecordFold {
+    /// Folds the next block.
+    fn block(&mut self, b: &BlockRecord);
+    /// Folds the next transaction, by its timestamp.
+    fn tx(&mut self, _ts: u64) {}
+}
+
+/// A [`RecordFold`] that can also take a whole day from its partial, in
+/// place of that day's records.
+trait DayFold: RecordFold {
+    fn day(&mut self, day: u64, partial: &DayPartial);
+}
+
+impl RecordFold for Gaps {
+    fn block(&mut self, b: &BlockRecord) {
+        self.push(b.timestamp);
+    }
+}
+
+impl DayFold for Gaps {
+    fn day(&mut self, _day: u64, partial: &DayPartial) {
+        self.extend(partial);
+    }
+}
+
+/// Mean difficulty per day.
+#[derive(Default)]
+struct DailyMeans(BTreeMap<u64, MeanCell>);
+
+impl RecordFold for DailyMeans {
+    fn block(&mut self, b: &BlockRecord) {
+        self.0
+            .entry(b.timestamp / DAY)
+            .or_default()
+            .push(b.difficulty.to_f64_lossy());
+    }
+}
+
+impl DayFold for DailyMeans {
+    fn day(&mut self, day: u64, partial: &DayPartial) {
+        if partial.numbers.is_some() {
+            self.0.insert(day, partial.difficulty);
+        }
+    }
+}
+
+/// Transactions per day.
+#[derive(Default)]
+struct DailyCounts(BTreeMap<u64, u64>);
+
+impl RecordFold for DailyCounts {
+    fn block(&mut self, _b: &BlockRecord) {}
+
+    fn tx(&mut self, ts: u64) {
+        *self.0.entry(ts / DAY).or_default() += 1;
+    }
+}
+
+impl DayFold for DailyCounts {
+    fn day(&mut self, day: u64, partial: &DayPartial) {
+        if partial.txs > 0 {
+            self.0.insert(day, partial.txs);
+        }
+    }
+}
+
+/// Folds `side`'s records that lie in both `window` (what is streamed) and
+/// `range` (the query's filter), in write order.
+pub(crate) fn fold_scan(
+    source: &dyn RecordSource,
+    side: Side,
+    window: &QueryRange,
+    range: &QueryRange,
+    fold: &mut impl RecordFold,
+) -> Result<(), QueryError> {
+    for item in source.stream(side, window) {
+        match item?.1 {
+            ArchiveRecord::Block(b) => {
+                if block_in_range(window, &b) && block_in_range(range, &b) {
+                    fold.block(&b);
+                }
+            }
+            ArchiveRecord::Tx(t) => {
+                if ts_in_range(window, t.timestamp) && ts_in_range(range, t.timestamp) {
+                    fold.tx(t.timestamp);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Folds `side`'s records in `range`, in write order: the days the source's
+/// partials cover come in whole, the rest is streamed.
+fn fold_side<F: DayFold>(
+    source: &dyn RecordSource,
+    side: Side,
+    range: &QueryRange,
+    mut fold: F,
+) -> Result<F, QueryError> {
+    let pieces = match source.accel() {
+        Some(accel) => accel.pieces(source, side, range)?,
+        None => vec![Piece::Scan(*range)],
+    };
+    for piece in pieces {
+        match piece {
+            Piece::Scan(window) => fold_scan(source, side, &window, range, &mut fold)?,
+            Piece::Day(day, partial) => fold.day(day, partial),
+        }
+    }
+    Ok(fold)
 }
 
 fn block_in_range(range: &QueryRange, b: &BlockRecord) -> bool {
@@ -204,7 +319,7 @@ fn day_in_range(range: &QueryRange, day: u64) -> bool {
         QueryRange::All => true,
         QueryRange::Blocks { .. } => false, // rejected by validate()
         // A day qualifies when any of its seconds fall inside the window.
-        QueryRange::Time { start, end } => day * 86_400 <= end && (day + 1) * 86_400 > start,
+        QueryRange::Time { start, end } => day * DAY <= end && (day + 1) * DAY > start,
     }
 }
 
@@ -246,71 +361,48 @@ pub(crate) fn evaluate(
             // `HistogramSnapshot::record` mirrors the live histogram's
             // bucketing without the live type, so results are identical
             // whether or not the build enables the `enabled` feature.
-            let mut h = HistogramSnapshot::default();
-            let mut prev: Option<u64> = None;
-            for item in source.stream(side, &query.range) {
-                if let (_, ArchiveRecord::Block(b)) = item? {
-                    if !block_in_range(&query.range, &b) {
-                        continue;
-                    }
-                    if let Some(p) = prev {
-                        h.record(b.timestamp.saturating_sub(p));
-                    }
-                    prev = Some(b.timestamp);
-                }
-            }
-            Ok(QueryOutput::Histogram(Box::new(h)))
+            let gaps = fold_side(source, side, &query.range, Gaps::default())?;
+            Ok(QueryOutput::Histogram(Box::new(gaps.hist)))
         }
         Projection::Difficulty => {
             let side = query.side.expect("validated");
-            let mut cells: BTreeMap<u64, MeanCell> = BTreeMap::new();
-            for item in source.stream(side, &query.range) {
-                if let (_, ArchiveRecord::Block(b)) = item? {
-                    if block_in_range(&query.range, &b) {
-                        cells
-                            .entry(b.timestamp / 86_400)
-                            .or_default()
-                            .push(b.difficulty.to_f64_lossy());
-                    }
-                }
-            }
+            let means = fold_side(source, side, &query.range, DailyMeans::default())?;
             Ok(QueryOutput::Series(mean_series(
                 side.label(),
-                &cells,
-                86_400,
+                &means.0,
+                DAY,
             )))
         }
         Projection::TxRatioPerDay => {
-            let mut daily = [BTreeMap::<u64, u64>::new(), BTreeMap::new()];
-            for (i, side) in [Side::Eth, Side::Etc].into_iter().enumerate() {
-                for item in source.stream(side, &query.range) {
-                    if let (_, ArchiveRecord::Tx(t)) = item? {
-                        if ts_in_range(&query.range, t.timestamp) {
-                            *daily[i].entry(t.timestamp / 86_400).or_default() += 1;
-                        }
-                    }
-                }
-            }
-            let eth = count_series(Side::Eth.label(), &daily[0], 86_400);
-            let etc = count_series(Side::Etc.label(), &daily[1], 86_400);
-            Ok(QueryOutput::Series(ratio(&eth, &etc, "ETH:ETC")))
+            let [eth, etc] = [Side::Eth, Side::Etc].map(|side| {
+                fold_side(source, side, &query.range, DailyCounts::default())
+                    .map(|counts| count_series(side.label(), &counts.0, DAY))
+            });
+            Ok(QueryOutput::Series(ratio(&eth?, &etc?, "ETH:ETC")))
         }
         Projection::Echoes { window_days } => {
             let side = query.side.expect("validated");
             // Echo-ness depends on which side saw a hash *first*, so the
             // detector must see the whole cross-side stream in the original
             // global order regardless of the query range; the range only
-            // restricts which days are emitted.
-            let detector = run_echo_detector(source)?;
+            // restricts which days are emitted. A pool replays once.
+            let fresh;
+            let days = match source.accel() {
+                Some(accel) => accel.echo_days(|| echo_days(source))?,
+                None => {
+                    fresh = echo_days(source)?;
+                    &fresh
+                }
+            };
             let mut windows: BTreeMap<u64, u64> = BTreeMap::new();
-            for (day, stats) in detector.daily(side) {
+            for &(day, stats) in &days[side_index(side)] {
                 if day_in_range(&query.range, day) {
                     *windows.entry(day / window_days).or_default() += stats.echoes;
                 }
             }
             let mut s = TimeSeries::new(side.label());
             for (w, echoes) in windows {
-                s.push(SimTime::from_unix(w * window_days * 86_400), echoes as f64);
+                s.push(SimTime::from_unix(w * window_days * DAY), echoes as f64);
             }
             Ok(QueryOutput::Series(s))
         }
@@ -319,8 +411,8 @@ pub(crate) fn evaluate(
 
 /// Replays every transaction on both sides through an [`EchoDetector`] in
 /// the original global ingestion order (merge by sequence number — the same
-/// merge `ArchiveReader::replay_into` performs).
-fn run_echo_detector(source: &dyn RecordSource) -> Result<EchoDetector, QueryError> {
+/// merge `ArchiveReader::replay_into` performs) and keeps its per-day stats.
+fn echo_days(source: &dyn RecordSource) -> Result<EchoDays, QueryError> {
     let mut eth = source.stream(Side::Eth, &QueryRange::All).peekable();
     let mut etc = source.stream(Side::Etc, &QueryRange::All).peekable();
     let mut detector = EchoDetector::new();
@@ -334,10 +426,10 @@ fn run_echo_detector(source: &dyn RecordSource) -> Result<EchoDetector, QueryErr
         let stream = if take_eth { &mut eth } else { &mut etc };
         let (_, record) = stream.next().expect("peeked Some")?;
         if let ArchiveRecord::Tx(t) = record {
-            detector.observe(t.network, t.hash, t.timestamp / 86_400);
+            detector.observe(t.network, t.hash, t.timestamp / DAY);
         }
     }
-    Ok(detector)
+    Ok([Side::Eth, Side::Etc].map(|side| detector.daily(side)))
 }
 
 pub(crate) type RecordIter<'a> =

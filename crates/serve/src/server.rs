@@ -465,7 +465,7 @@ impl Server {
         let cache = cache.with_telemetry(&registry);
         let reader = fork_archive::ArchiveReader::open(&cfg.archive_dir)
             .map_err(|e| ServeError::Archive(e.to_string()))?;
-        let pool = ReaderPool::new(reader, cache);
+        let pool = ReaderPool::new(reader, cache).with_telemetry(&registry);
         let workers = cfg.effective_workers();
         let exec = QueryExecutor::new(workers).with_telemetry(&registry);
         let meta = archive_meta(&pool);

@@ -166,6 +166,14 @@ fn sampler_fills_the_series_ring_and_metrics_expose_the_registry() {
     let text = client.metrics_text().unwrap();
     assert!(text.contains("# TYPE serve_stage_total histogram"));
     assert!(text.contains("serve_queries"));
+    // The pool's partials counters ride along: the traffic merged days.
+    let merged = text
+        .lines()
+        .find_map(|l| l.strip_prefix("query_partials_days_merged "));
+    assert!(
+        merged.is_some_and(|v| v.parse::<u64>().unwrap() > 0),
+        "query.partials.days_merged missing or zero: {merged:?}"
+    );
     for line in text.lines() {
         if line.is_empty() || line.starts_with('#') {
             continue;
